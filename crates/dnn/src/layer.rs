@@ -255,9 +255,8 @@ impl LayerSpec {
     ) -> Result<Tensor> {
         match self {
             LayerSpec::Conv(p) => {
-                let out =
-                    tensor::conv2d_with(input, weights.weights(), weights.bias(), p, threading)?;
-                Ok(out)
+                let w = weights.dense().ok_or_else(|| self.unparameterised())?;
+                Ok(tensor::conv2d_with(input, w, weights.bias(), p, threading)?)
             }
             LayerSpec::Local(p) => forward_local(input, weights, p),
             LayerSpec::Pool(kind, p) => {
@@ -268,30 +267,50 @@ impl LayerSpec {
                 Ok(out)
             }
             LayerSpec::InnerProduct { out } => {
-                let (rows, cols) = input.shape().as_matrix();
-                let flat = input
-                    .clone()
-                    .reshape(Shape::mat(rows, cols))
-                    .expect("matrix view volume always matches");
-                // weights stored (cols x out), so y = x * W + b.
-                let w = weights.weights();
-                let mut y = tensor::matmul_with(&flat, w, threading.threads)?;
-                debug_assert_eq!(y.shape().as_matrix().1, *out);
+                // y = x * W + b with W packed (in x out); x is read in place
+                // as a (rows x in) matrix.
+                let w = weights.packed().ok_or_else(|| self.unparameterised())?;
+                let (rows, _) = input.shape().as_matrix();
+                let mut y = Tensor::zeros(Shape::mat(rows, *out));
+                tensor::sgemm_packed(rows, input.data(), w, y.data_mut(), threading.threads)?;
                 tensor::add_bias_rows(&mut y, weights.bias())?;
                 Ok(y)
             }
-            LayerSpec::Activation(a) => {
-                let mut out = input.clone();
-                a.apply(&mut out);
-                Ok(out)
-            }
             LayerSpec::Lrn(p) => Ok(tensor::lrn_cross_channel(input, p)?),
-            LayerSpec::Dropout => Ok(input.clone()),
-            LayerSpec::Softmax => {
-                let mut out = input.clone();
-                tensor::softmax_rows(&mut out);
-                Ok(out)
+            LayerSpec::Activation(_) | LayerSpec::Dropout | LayerSpec::Softmax => {
+                self.forward_owned(input.clone(), weights, threading)
             }
+        }
+    }
+
+    /// [`LayerSpec::forward_with`] on an owned input: pointwise layers
+    /// (activation, dropout, softmax) work in place on it instead of
+    /// copying; the others read it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`LayerSpec::forward_with`].
+    pub(crate) fn forward_owned(
+        &self,
+        mut input: Tensor,
+        weights: &LayerWeights,
+        threading: Threading,
+    ) -> Result<Tensor> {
+        match self {
+            LayerSpec::Activation(a) => a.apply(&mut input),
+            LayerSpec::Dropout => {}
+            LayerSpec::Softmax => tensor::softmax_rows(&mut input),
+            _ => return self.forward_with(&input, weights, threading),
+        }
+        Ok(input)
+    }
+
+    /// The error for a parameterised layer handed weights of the wrong
+    /// kind (the placeholder, or another layer type's).
+    fn unparameterised(&self) -> DnnError {
+        DnnError::BadLayer {
+            layer: self.kind_name().to_string(),
+            reason: "weights were not built for this layer".into(),
         }
     }
 }
@@ -311,12 +330,13 @@ fn forward_local(input: &Tensor, weights: &LayerWeights, p: &LocalParams) -> Res
     let ow = p.out_dim(w)?;
     let ksz = c * p.kernel * p.kernel;
     let expected = oh * ow * p.out_channels * ksz;
-    if weights.weights().len() != expected || weights.bias().len() != oh * ow * p.out_channels {
+    let wt = weights.dense().map_or(&[][..], Tensor::data);
+    if wt.len() != expected || weights.bias().len() != oh * ow * p.out_channels {
         return Err(DnnError::BadLayer {
             layer: "local".into(),
             reason: format!(
                 "weight volume {} / bias {} inconsistent with untied geometry {}",
-                weights.weights().len(),
+                wt.len(),
                 weights.bias().len(),
                 expected
             ),
@@ -324,7 +344,6 @@ fn forward_local(input: &Tensor, weights: &LayerWeights, p: &LocalParams) -> Res
     }
     let mut out = Tensor::zeros(Shape::nchw(n, p.out_channels, oh, ow));
     let x = input.data();
-    let wt = weights.weights().data();
     let bias = weights.bias();
     for img in 0..n {
         for oc in 0..p.out_channels {
@@ -434,6 +453,21 @@ mod tests {
                 .unwrap();
             assert_eq!(out.shape(), input.shape());
         }
+    }
+
+    #[test]
+    fn parameterised_layers_reject_mismatched_weights() {
+        let fc = LayerSpec::InnerProduct { out: 4 };
+        let conv = LayerSpec::Conv(Conv2dParams::new(2, 3, 1, 1));
+        let row = Tensor::zeros(Shape::mat(1, 8));
+        let image = Tensor::zeros(Shape::nchw(1, 1, 4, 4));
+        let fc_w = LayerWeights::init(&fc, row.shape(), 1);
+        let conv_w = LayerWeights::init(&conv, image.shape(), 1);
+        assert!(fc.forward(&row, &LayerWeights::none()).is_err());
+        assert!(fc.forward(&row, &conv_w).is_err());
+        assert!(conv.forward(&image, &fc_w).is_err());
+        let wide = Tensor::zeros(Shape::mat(1, 9));
+        assert!(fc.forward(&wide, &fc_w).is_err(), "input width must match");
     }
 
     #[test]

@@ -14,8 +14,6 @@
 
 use std::io::{Read, Write};
 
-use tensor::Tensor;
-
 use crate::{DnnError, LayerWeights, Network, Result};
 
 /// File magic.
@@ -47,7 +45,7 @@ pub fn save<W: Write>(network: &Network, mut w: W) -> Result<()> {
         if lw.is_none() {
             continue;
         }
-        for &v in lw.weights().data() {
+        for &v in lw.weights_row_major().iter() {
             w.write_all(&v.to_le_bytes()).map_err(io_err)?;
         }
         for &v in lw.bias() {
@@ -97,27 +95,16 @@ pub fn load<R: Read>(mut r: R) -> Result<Network> {
     let mut weights = Vec::with_capacity(def.layers().len());
     let mut f32_buf = Vec::new();
     for (l, s) in def.layers().iter().zip(&shapes) {
-        if !l.spec.has_params() {
-            weights.push(LayerWeights::none());
-            continue;
-        }
-        // Recover the canonical weight/bias shapes from a fresh init.
-        let template = LayerWeights::init(&l.spec, s, 0);
-        let wlen = template.weights().len();
-        let blen = template.bias().len();
+        // Weights then bias, row-major, read straight into the layer's
+        // storage (packed for inner products).
+        let count = l.spec.param_count(s);
         f32_buf.clear();
-        f32_buf.resize((wlen + blen) * 4, 0u8);
+        f32_buf.resize(count * 4, 0u8);
         r.read_exact(&mut f32_buf).map_err(io_err)?;
-        let mut values = f32_buf
+        let values = f32_buf
             .chunks_exact(4)
             .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]));
-        let wdata: Vec<f32> = values.by_ref().take(wlen).collect();
-        let bias: Vec<f32> = values.collect();
-        let wt = Tensor::from_vec(template.weights().shape().clone(), wdata)?;
-        let mut lw = template;
-        *lw.weights_mut() = wt;
-        lw.bias_mut().copy_from_slice(&bias);
-        weights.push(lw);
+        weights.push(LayerWeights::from_values(&l.spec, s, values)?);
     }
     // Reject trailing garbage.
     let mut extra = [0u8; 1];
@@ -133,7 +120,7 @@ pub fn load<R: Read>(mut r: R) -> Result<Network> {
 mod tests {
     use super::*;
     use crate::zoo::{self, App};
-    use tensor::Shape;
+    use tensor::{Shape, Tensor};
 
     #[test]
     fn roundtrip_preserves_network_exactly() {
@@ -157,6 +144,43 @@ mod tests {
             net.forward(&input).unwrap(),
             loaded.forward(&input).unwrap()
         );
+    }
+
+    /// The on-disk format is row-major whatever the in-memory layout: the
+    /// bytes `save` writes for senna-pos are pinned by length and FNV-1a.
+    #[test]
+    fn saved_bytes_are_pinned() {
+        let mut buf = Vec::new();
+        save(&zoo::network(App::Pos).unwrap(), &mut buf).unwrap();
+        let digest = buf.iter().fold(0xcbf2_9ce4_8422_2325u64, |h, &b| {
+            (h ^ b as u64).wrapping_mul(0x0100_0000_01b3)
+        });
+        assert_eq!(buf.len(), 713_077);
+        assert_eq!(digest, 0x2adb_1c56_b902_e5d5, "got {digest:016x}");
+    }
+
+    #[test]
+    fn save_load_forward_round_trips_bitwise() {
+        let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let textgen = Network::with_random_weights(zoo::textgen(), 0x7E47).unwrap();
+        for net in [textgen, zoo::network(App::Pos).unwrap()] {
+            let mut buf = Vec::new();
+            save(&net, &mut buf).unwrap();
+            let loaded = load(&buf[..]).unwrap();
+            let mut resaved = Vec::new();
+            save(&loaded, &mut resaved).unwrap();
+            assert_eq!(buf, resaved, "{}", net.def().name());
+            for rows in [1usize, 5] {
+                let width = net.def().input_shape().as_matrix().1;
+                let x = Tensor::random_uniform(Shape::mat(rows, width), 1.0, 4);
+                assert_eq!(
+                    bits(&net.forward(&x).unwrap()),
+                    bits(&loaded.forward(&x).unwrap()),
+                    "{} rows={rows}",
+                    net.def().name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -245,16 +245,18 @@ impl Trainer {
                 continue;
             }
             let decay = cfg.weight_decay;
-            for ((wv, vv), gv) in w
-                .weights_mut()
-                .data_mut()
+            let mut wvals = w.weights_row_major().into_owned();
+            let mut vvals = v.weights_row_major().into_owned();
+            for ((wv, vv), gv) in wvals
                 .iter_mut()
-                .zip(v.weights_mut().data_mut())
-                .zip(g.weights().data())
+                .zip(&mut vvals)
+                .zip(g.weights_row_major().iter())
             {
                 *vv = cfg.momentum * *vv - cfg.lr * (gv + decay * *wv);
                 *wv += *vv;
             }
+            w.set_weights(&wvals);
+            v.set_weights(&vvals);
             for ((wb, vb), gb) in w.bias_mut().iter_mut().zip(v.bias_mut()).zip(g.bias()) {
                 *vb = cfg.momentum * *vb - cfg.lr * gb;
                 *wb += *vb;
@@ -275,6 +277,7 @@ fn backward_inner_product(
     let (_, out_dim) = dy.shape().as_matrix();
     let x_flat = x.data();
     // dW = x^T dy  (in x out)
+    let mut dw = vec![0.0f32; in_dim * out_dim];
     sgemm(
         in_dim,
         out_dim,
@@ -283,12 +286,13 @@ fn backward_inner_product(
         x_flat,
         dy.data(),
         0.0,
-        grad.weights_mut().data_mut(),
+        &mut dw,
         GemmOptions {
             trans_a: true,
             ..GemmOptions::default()
         },
     )?;
+    grad.set_weights(&dw);
     // db = column sums of dy
     for row in 0..b {
         for (gb, v) in grad
@@ -307,7 +311,7 @@ fn backward_inner_product(
         out_dim,
         1.0,
         dy.data(),
-        w.weights().data(),
+        &w.weights_row_major(),
         0.0,
         dx.data_mut(),
         GemmOptions {
@@ -342,7 +346,8 @@ fn backward_conv(
     let mut dx = Tensor::zeros(x.shape().clone());
     let per_in = c * h * w_dim;
     let per_out = p.out_channels * oh * ow;
-    let weights = _w.weights().data();
+    let weights = _w.weights_row_major();
+    let mut dw = vec![0.0f32; grad.weight_count()];
     for img in 0..n {
         for g in 0..p.groups {
             let img_slice = &x.data()[img * per_in + g * cg * h * w_dim..][..cg * h * w_dim];
@@ -350,7 +355,7 @@ fn backward_conv(
             let cols = im2col(&img_t, cg, h, w_dim, &group_params)?;
             let dy_slice = &dy.data()[img * per_out + g * og * oh * ow..][..og * oh * ow];
             // dW += dY (og x ohw) . cols^T (ohw x wk)
-            let gw = &mut grad.weights_mut().data_mut()[g * og * wk..(g + 1) * og * wk];
+            let gw = &mut dw[g * og * wk..(g + 1) * og * wk];
             sgemm(
                 og,
                 wk,
@@ -395,6 +400,7 @@ fn backward_conv(
             }
         }
     }
+    grad.set_weights(&dw);
     Ok(dx)
 }
 
@@ -609,17 +615,20 @@ mod tests {
             if trainer.network().weights()[li].is_none() {
                 continue;
             }
-            let count = trainer.network().weights()[li].weights().len();
+            let count = trainer.network().weights()[li].weight_count();
             // Probe a handful of parameters per layer.
             for pi in (0..count).step_by((count / 5).max(1)) {
                 let loss_at = |delta: f32| -> f32 {
                     let mut n = trainer.network().clone();
-                    n.weights_mut()[li].weights_mut().data_mut()[pi] += delta;
+                    let lw = &mut n.weights_mut()[li];
+                    let mut values = lw.weights_row_major().into_owned();
+                    values[pi] += delta;
+                    lw.set_weights(&values);
                     let t = Trainer::new(n, SgdConfig::default());
                     t.gradients(&input, &labels).unwrap().1
                 };
                 let numeric = (loss_at(eps) - loss_at(-eps)) / (2.0 * eps);
-                let analytic = grads[li].weights().data()[pi];
+                let analytic = grads[li].weights_row_major()[pi];
                 let denom = numeric.abs().max(analytic.abs()).max(1e-3);
                 assert!(
                     (numeric - analytic).abs() / denom < 0.15,

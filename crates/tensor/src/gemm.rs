@@ -5,11 +5,24 @@
 //! BLIS-style packed kernel for everything else — A is packed into
 //! `MR`-row column-major micro-panels and B into `NR`-column row-major
 //! micro-panels so the register-blocked `MR x NR` micro-kernel streams
-//! both operands at unit stride. The parallel driver packs B once,
-//! shares it read-only, and splits C's rows into `MR`-aligned strips
-//! across `std::thread::scope` workers; each worker packs its own A
-//! panels. Because every C row is computed in the same order regardless
-//! of the split, parallel results are bitwise identical to sequential.
+//! both operands at unit stride. The parallel driver shares the packed B
+//! read-only and splits C's rows into `MR`-aligned strips across
+//! `std::thread::scope` workers; each worker packs its own A panels.
+//! Because every C row is computed in the same order regardless of the
+//! split, parallel results are bitwise identical to sequential.
+//!
+//! [`sgemm`] packs its B operand on every call. When B is a model's
+//! weight matrix, weights are packed once at model load instead: a
+//! [`PackedMatrix`] holds B in the packed layout and [`sgemm_packed`]
+//! multiplies by it with no per-call copy. Below `MR` rows (a batch-1
+//! decode step) `sgemm_packed` runs a skinny kernel that reads the
+//! panels directly, without packing A or padding it to `MR` rows. Every
+//! branch of `sgemm_packed` keeps the per-element summation order of the
+//! `sgemm` branch it replaces, so `sgemm_packed(m, a, &PackedMatrix::pack(k,
+//! n, b), ..)` is bitwise equal to `sgemm(m, n, k, 1.0, a, b, 0.0, ..)`
+//! for every shape and thread count.
+
+use serde::{Deserialize, Serialize};
 
 use crate::{Result, Shape, Tensor, TensorError};
 
@@ -75,15 +88,6 @@ impl GemmOptions {
 /// # Ok::<(), tensor::TensorError>(())
 /// ```
 pub fn matmul(a: &Tensor, b: &Tensor) -> Result<Tensor> {
-    matmul_with(a, b, 1)
-}
-
-/// [`matmul`] with an explicit worker-thread budget.
-///
-/// # Errors
-///
-/// Returns [`TensorError::ShapeMismatch`] if the inner dimensions disagree.
-pub fn matmul_with(a: &Tensor, b: &Tensor, threads: usize) -> Result<Tensor> {
     let (m, ka) = a.shape().as_matrix();
     let (kb, n) = b.shape().as_matrix();
     if ka != kb {
@@ -103,7 +107,7 @@ pub fn matmul_with(a: &Tensor, b: &Tensor, threads: usize) -> Result<Tensor> {
         b.data(),
         0.0,
         c.data_mut(),
-        GemmOptions::with_threads(threads),
+        GemmOptions::default(),
     )?;
     Ok(c)
 }
@@ -175,7 +179,56 @@ pub fn sgemm(
         return Ok(());
     }
     let threads = opts.threads.max(1).min(m.div_ceil(MR));
-    gemm_packed(m, n, k, alpha, a_rm, b_rm, c, threads);
+    gemm_rows(m, alpha, a_rm, &PackedMatrix::pack(k, n, b_rm), c, threads);
+    Ok(())
+}
+
+/// `C = A * B` where B was packed ahead of time (typically once, at model
+/// load). `a` is row-major `m x k` and `c` row-major `m x n`, with `k x n`
+/// taken from `b`; `c` is overwritten.
+///
+/// Bitwise equal to [`sgemm`] with `alpha = 1`, `beta = 0` on the
+/// unpacked B, for every shape and `threads`: tiny products run the
+/// blocked kernel's order off the panels, fewer than `MR` rows run a
+/// skinny kernel with the packed kernel's order, and the rest run the
+/// packed row-strip driver itself.
+///
+/// # Errors
+///
+/// Returns [`TensorError::InvalidParams`] when slice lengths do not match
+/// the dimensions or a dimension is zero.
+pub fn sgemm_packed(
+    m: usize,
+    a: &[f32],
+    b: &PackedMatrix,
+    c: &mut [f32],
+    threads: usize,
+) -> Result<()> {
+    let (k, n) = (b.rows, b.cols);
+    if m == 0 || n == 0 || k == 0 {
+        return Err(TensorError::InvalidParams {
+            op: "sgemm_packed",
+            reason: format!("zero dimension m={m} n={n} k={k}"),
+        });
+    }
+    if a.len() != m * k || c.len() != m * n {
+        return Err(TensorError::InvalidParams {
+            op: "sgemm_packed",
+            reason: format!(
+                "slice lengths a={} c={} inconsistent with m={m} n={n} k={k}",
+                a.len(),
+                c.len()
+            ),
+        });
+    }
+    c.fill(0.0);
+    if m * n * k < PACK_MIN_VOLUME {
+        gemm_blocked_panels(m, a, b, c);
+    } else if m < MR {
+        gemm_skinny(m, a, b, c);
+    } else {
+        gemm_rows(m, 1.0, a, b, c, threads.max(1).min(m.div_ceil(MR)));
+    }
     Ok(())
 }
 
@@ -273,23 +326,44 @@ fn inner_block(
 // Packed kernel
 // ---------------------------------------------------------------------------
 
-/// B packed for the micro-kernel: row-major `NR`-column micro-panels,
-/// KC-blocked along the depth dimension, zero-padded to full panels.
+/// A `k x n` matrix in the packed layout of the GEMM B operand: row-major
+/// `NR`-column micro-panels, KC-blocked along the depth dimension,
+/// zero-padded to full panels. An inner-product layer keeps its weights
+/// in this form so [`sgemm_packed`] never repacks them.
 ///
 /// Layout: the depth block starting at row `pc` (of height `kb`) occupies
 /// `kb * padded_n` floats starting at `pc * padded_n`; within it, column
 /// panel `jp` is `kb * NR` contiguous floats, depth-major (`NR` values of
 /// row `pc`, then row `pc + 1`, ...).
-struct PackedB {
+#[derive(Clone, PartialEq, Serialize, Deserialize)]
+pub struct PackedMatrix {
     data: Vec<f32>,
+    rows: usize,
+    cols: usize,
     padded_n: usize,
 }
 
-impl PackedB {
-    fn pack(k: usize, n: usize, b: &[f32]) -> PackedB {
+impl PackedMatrix {
+    fn zeros(k: usize, n: usize) -> PackedMatrix {
+        let padded_n = n.div_ceil(NR) * NR;
+        PackedMatrix {
+            data: vec![0.0f32; k * padded_n],
+            rows: k,
+            cols: n,
+            padded_n,
+        }
+    }
+
+    /// Packs the row-major `k x n` slice `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != k * n`.
+    pub fn pack(k: usize, n: usize, b: &[f32]) -> PackedMatrix {
+        assert_eq!(b.len(), k * n, "PackedMatrix::pack: bad slice length");
+        let mut packed = PackedMatrix::zeros(k, n);
+        let (data, padded_n) = (&mut packed.data, packed.padded_n);
         let panels = n.div_ceil(NR);
-        let padded_n = panels * NR;
-        let mut data = vec![0.0f32; k * padded_n];
         for pc in (0..k).step_by(KC) {
             let kb = KC.min(k - pc);
             for jp in 0..panels {
@@ -302,7 +376,68 @@ impl PackedB {
                 }
             }
         }
-        PackedB { data, padded_n }
+        packed
+    }
+
+    /// Fills a `k x n` packed matrix straight from `values` given in
+    /// row-major order, with no row-major copy in between. Takes exactly
+    /// `k * n` values; any further values are left in the iterator.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::InvalidParams`] if `values` runs out first.
+    pub fn from_row_major(
+        k: usize,
+        n: usize,
+        values: impl IntoIterator<Item = f32>,
+    ) -> Result<PackedMatrix> {
+        let mut packed = PackedMatrix::zeros(k, n);
+        let padded_n = packed.padded_n;
+        let mut values = values.into_iter();
+        // One row at a time: gather it, then copy it into its panels.
+        let mut row = vec![0.0f32; n];
+        for p in 0..k {
+            for slot in row.iter_mut() {
+                *slot = values.next().ok_or_else(|| TensorError::InvalidParams {
+                    op: "PackedMatrix::from_row_major",
+                    reason: format!("ran out of values in row {p} of {k} x {n}"),
+                })?;
+            }
+            let pc = p - p % KC;
+            let kb = KC.min(k - pc);
+            let base = pc * padded_n + (p - pc) * NR;
+            for (jp, src) in row.chunks(NR).enumerate() {
+                packed.data[base + jp * NR * kb..][..src.len()].copy_from_slice(src);
+            }
+        }
+        Ok(packed)
+    }
+
+    /// A row-major copy of the matrix.
+    pub fn to_row_major(&self) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.rows * self.cols);
+        for p in 0..self.rows {
+            out.extend((0..self.cols).map(|j| self.data[self.index(p, j)]));
+        }
+        out
+    }
+
+    /// Number of rows (the GEMM depth `k`).
+    pub fn rows(&self) -> usize {
+        self.rows
+    }
+
+    /// Number of columns (the GEMM width `n`).
+    pub fn cols(&self) -> usize {
+        self.cols
+    }
+
+    /// Offset of element `(p, j)` in `data`.
+    #[inline]
+    fn index(&self, p: usize, j: usize) -> usize {
+        let pc = p - p % KC;
+        let kb = KC.min(self.rows - pc);
+        pc * self.padded_n + (j / NR) * NR * kb + (p - pc) * NR + j % NR
     }
 
     /// The `kb * NR` micro-panel for depth block `pc` and column panel `jp`.
@@ -310,6 +445,76 @@ impl PackedB {
     fn panel(&self, pc: usize, kb: usize, jp: usize) -> &[f32] {
         let base = pc * self.padded_n + jp * NR * kb;
         &self.data[base..base + NR * kb]
+    }
+}
+
+impl std::fmt::Debug for PackedMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "PackedMatrix[{}x{}]", self.rows, self.cols)
+    }
+}
+
+/// [`gemm_blocked`]'s summation order read from packed panels: each C
+/// element accumulates its `k` products straight into C, depth in order.
+fn gemm_blocked_panels(m: usize, a: &[f32], b: &PackedMatrix, c: &mut [f32]) {
+    let (k, n) = (b.rows, b.cols);
+    for pc in (0..k).step_by(KC) {
+        let kb = KC.min(k - pc);
+        for jp in 0..n.div_ceil(NR) {
+            let j0 = jp * NR;
+            let nb = NR.min(n - j0);
+            let pb = b.panel(pc, kb, jp);
+            for i in 0..m {
+                let arow = &a[i * k + pc..i * k + pc + kb];
+                let crow = &mut c[i * n + j0..i * n + j0 + nb];
+                for (&av, brow) in arow.iter().zip(pb.chunks_exact(NR)) {
+                    for (cv, bv) in crow.iter_mut().zip(brow) {
+                        *cv += av * bv;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Skinny kernel for fewer than `MR` rows of A: reads A in place and the
+/// packed panels directly, with no A packing and no padding to `MR` rows.
+/// Per element it keeps the packed kernel's order — one accumulator per
+/// depth block, started at zero, then added into C.
+fn gemm_skinny(m: usize, a: &[f32], b: &PackedMatrix, c: &mut [f32]) {
+    match m {
+        1 => skinny_rows::<1>(a, b, c),
+        2 => skinny_rows::<2>(a, b, c),
+        3 => skinny_rows::<3>(a, b, c),
+        _ => unreachable!("the skinny kernel takes fewer than MR = {MR} rows"),
+    }
+}
+
+fn skinny_rows<const R: usize>(a: &[f32], b: &PackedMatrix, c: &mut [f32]) {
+    let (k, n) = (b.rows, b.cols);
+    for pc in (0..k).step_by(KC) {
+        let kb = KC.min(k - pc);
+        let arows: [&[f32]; R] = std::array::from_fn(|r| &a[r * k + pc..r * k + pc + kb]);
+        for jp in 0..n.div_ceil(NR) {
+            let j0 = jp * NR;
+            let nb = NR.min(n - j0);
+            let mut acc = [[0.0f32; NR]; R];
+            for (pp, bv) in b.panel(pc, kb, jp).chunks_exact(NR).enumerate() {
+                let bv: &[f32; NR] = bv.try_into().expect("chunks_exact yields NR values");
+                for r in 0..R {
+                    let ar = arows[r][pp];
+                    for j in 0..NR {
+                        acc[r][j] += ar * bv[j];
+                    }
+                }
+            }
+            for (r, acc) in acc.iter().enumerate() {
+                let crow = &mut c[r * n + j0..r * n + j0 + nb];
+                for (cv, &av) in crow.iter_mut().zip(acc) {
+                    *cv += av;
+                }
+            }
+        }
     }
 }
 
@@ -364,17 +569,15 @@ fn microkernel(kb: usize, pa: &[f32], pb: &[f32], acc: &mut [f32; MR * NR]) {
 
 /// Runs the packed kernel over the row strip `r0..r1`, writing into
 /// `c_strip` (the `(r1 - r0) * n` slice of C starting at row `r0`).
-#[allow(clippy::too_many_arguments)]
 fn gemm_strip(
     r0: usize,
     r1: usize,
-    n: usize,
-    k: usize,
     alpha: f32,
     a: &[f32],
-    packed_b: &PackedB,
+    packed_b: &PackedMatrix,
     c_strip: &mut [f32],
 ) {
+    let (k, n) = (packed_b.rows, packed_b.cols);
     let mut packed_a = Vec::new();
     for jc in (0..n).step_by(NC) {
         let ncb = NC.min(n - jc);
@@ -408,24 +611,22 @@ fn gemm_strip(
     }
 }
 
-/// Packed driver: packs B once (shared read-only), then runs row strips
-/// sequentially or across scoped threads. Strips are `MR`-panel aligned,
-/// so each C row is produced by exactly the same instruction sequence in
-/// both modes — thread count never changes the result.
-#[allow(clippy::too_many_arguments)]
-fn gemm_packed(
+/// Packed driver: runs row strips of C against the packed B (shared
+/// read-only) sequentially or across scoped threads. Strips are
+/// `MR`-panel aligned, so each C row is produced by exactly the same
+/// instruction sequence in both modes — thread count never changes the
+/// result.
+fn gemm_rows(
     m: usize,
-    n: usize,
-    k: usize,
     alpha: f32,
     a: &[f32],
-    b: &[f32],
+    packed_b: &PackedMatrix,
     c: &mut [f32],
     threads: usize,
 ) {
-    let packed_b = PackedB::pack(k, n, b);
+    let n = packed_b.cols;
     if threads <= 1 {
-        gemm_strip(0, m, n, k, alpha, a, &packed_b, c);
+        gemm_strip(0, m, alpha, a, packed_b, c);
         return;
     }
 
@@ -438,9 +639,8 @@ fn gemm_packed(
             let rows = rows_per.min(m - r0);
             let (strip, tail) = rest.split_at_mut(rows * n);
             rest = tail;
-            let packed_b = &packed_b;
             scope.spawn(move || {
-                gemm_strip(r0, r0 + rows, n, k, alpha, a, packed_b, strip);
+                gemm_strip(r0, r0 + rows, alpha, a, packed_b, strip);
             });
             r0 += rows;
         }
@@ -659,7 +859,103 @@ mod tests {
         }
     }
 
+    /// `(k, n)` shapes for the packed-operand tests: with the row counts
+    /// below they fall on both sides of `PACK_MIN_VOLUME`, and they cover
+    /// ragged `NR` column panels (n % 8 != 0) and ragged `KC` depth blocks
+    /// (k > 256, k % 256 != 0).
+    const PACKED_SHAPES: [(usize, usize); 10] = [
+        (1, 1),
+        (3, 5),
+        (7, 9),
+        (31, 33),
+        (64, 64),
+        (256, 8),
+        (257, 17),
+        (300, 70),
+        (513, 40),
+        (40, 513),
+    ];
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn sgemm_packed_is_bitwise_equal_to_sgemm() {
+        let mut seed = 500u64;
+        for m in [1usize, 2, 3, 4, 5, 28, 64, 130] {
+            for (k, n) in PACKED_SHAPES {
+                seed += 2;
+                let a = Tensor::random_uniform(Shape::mat(m, k), 1.0, seed).into_vec();
+                let b = Tensor::random_uniform(Shape::mat(k, n), 1.0, seed + 1).into_vec();
+                let packed = PackedMatrix::pack(k, n, &b);
+                for threads in [1usize, 2, 4, 7] {
+                    let mut want = vec![0.0; m * n];
+                    let opts = GemmOptions::with_threads(threads);
+                    sgemm(m, n, k, 1.0, &a, &b, 0.0, &mut want, opts).unwrap();
+                    // Stale C contents must not leak: the call overwrites C.
+                    let mut got = vec![f32::NAN; m * n];
+                    sgemm_packed(m, &a, &packed, &mut got, threads).unwrap();
+                    assert_eq!(
+                        bits(&want),
+                        bits(&got),
+                        "m={m} k={k} n={n} threads={threads}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_matrix_constructors_agree_and_round_trip() {
+        for (i, (k, n)) in PACKED_SHAPES.into_iter().enumerate() {
+            let b = Tensor::random_uniform(Shape::mat(k, n), 1.0, 900 + i as u64).into_vec();
+            let packed = PackedMatrix::pack(k, n, &b);
+            let streamed = PackedMatrix::from_row_major(k, n, b.iter().copied()).unwrap();
+            assert_eq!(packed, streamed, "k={k} n={n}");
+            assert_eq!((packed.rows(), packed.cols()), (k, n));
+            assert_eq!(bits(&packed.to_row_major()), bits(&b), "k={k} n={n}");
+        }
+    }
+
+    #[test]
+    fn packed_matrix_from_row_major_takes_exactly_k_times_n() {
+        let mut values = (0..10).map(|v| v as f32);
+        let packed = PackedMatrix::from_row_major(2, 3, values.by_ref()).unwrap();
+        assert_eq!(packed.to_row_major(), vec![0., 1., 2., 3., 4., 5.]);
+        assert_eq!(values.next(), Some(6.0), "values past k * n stay unread");
+        let short = PackedMatrix::from_row_major(3, 3, (0..8).map(|v| v as f32));
+        assert!(matches!(short, Err(TensorError::InvalidParams { .. })));
+    }
+
+    #[test]
+    fn sgemm_packed_validates_slice_lengths() {
+        let packed = PackedMatrix::pack(3, 2, &[0.0; 6]);
+        let mut c = vec![0.0; 4];
+        assert!(sgemm_packed(2, &[0.0; 5], &packed, &mut c, 1).is_err());
+        assert!(sgemm_packed(2, &[0.0; 6], &packed, &mut c[..3], 1).is_err());
+        assert!(sgemm_packed(0, &[], &packed, &mut [], 1).is_err());
+    }
+
     proptest! {
+        #[test]
+        fn sgemm_packed_matches_sgemm_bitwise_any_shape(
+            m in 1usize..70,
+            n in 1usize..70,
+            k in 1usize..300,
+            threads in 1usize..9,
+            seed in 0u64..1000,
+        ) {
+            let a = Tensor::random_uniform(Shape::mat(m, k), 1.0, seed).into_vec();
+            let b = Tensor::random_uniform(Shape::mat(k, n), 1.0, seed + 1).into_vec();
+            let mut want = vec![0.0; m * n];
+            sgemm(m, n, k, 1.0, &a, &b, 0.0, &mut want, GemmOptions::with_threads(threads))
+                .unwrap();
+            let mut got = vec![0.0; m * n];
+            sgemm_packed(m, &a, &PackedMatrix::pack(k, n, &b), &mut got, threads).unwrap();
+            prop_assert!(bits(&want) == bits(&got), "m={m} n={n} k={k} threads={threads}");
+        }
+
         #[test]
         fn blocked_matches_naive(
             m in 1usize..24,
